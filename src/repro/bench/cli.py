@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.bench import compare as _compare
@@ -39,12 +38,6 @@ DEFAULT_OUT = "BENCH_core.json"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if os.environ.get("PYTHONHASHSEED", "random") == "random":
-        print("note: PYTHONHASHSEED is not pinned — operation "
-              "counters that depend on set iteration order will vary "
-              "between processes; baselines are recorded with "
-              "PYTHONHASHSEED=0 (see docs/BENCHMARKS.md)",
-              file=sys.stderr)
     limits = {"deadline": getattr(args, "timeout", None),
               "max_steps": getattr(args, "max_steps", None),
               "max_branches": getattr(args, "max_branches", None),

@@ -1,16 +1,19 @@
 """Comparing two benchmark reports: the regression gate.
 
 The gate is **counter-based**: operation counters are deterministic
-and machine-independent, so any counter that grows beyond the
-tolerance is a real algorithmic regression, not scheduler noise.  Wall
+and machine-independent, so any counter that moves the wrong way
+beyond the tolerance is a real algorithmic regression, not scheduler
+noise.  The wrong way is growth for every work counter and a fall for
+cache hits (``*.cache.hit``, higher is better).  Wall
 time and peak memory are *advisory* — they are reported when they move
 beyond the tolerance but never fail the gate, because a CI runner's
 timings say more about the runner than about the code.
 
 Findings come in three severities:
 
-* ``regression`` — a gating violation (counter growth, a complexity
-  claim flipping to FAIL, a series point disappearing);
+* ``regression`` — a gating violation (work-counter growth, a
+  cache-hit fall, a complexity claim flipping to FAIL, a series point
+  disappearing);
 * ``advisory``  — wall time / memory movement, for human eyes;
 * ``note``      — benign drift (improvements, new benchmarks).
 
@@ -108,6 +111,13 @@ def compare_payloads(baseline: dict, current: dict, *,
     return findings
 
 
+def higher_is_better(counter: str) -> bool:
+    """Whether growth of ``counter`` is an improvement: cache hits
+    (``*.cache.hit``) count work avoided; every other counter counts
+    work done."""
+    return counter.endswith(".cache.hit")
+
+
 def _compare_counters(name: str, label: str, base: dict, curr: dict,
                       tolerance: float) -> list[Finding]:
     findings = []
@@ -115,13 +125,20 @@ def _compare_counters(name: str, label: str, base: dict, curr: dict,
     for counter in counters:
         before = base["counters"].get(counter, 0)
         after = curr["counters"].get(counter, 0)
-        if after > before and after - before > before * tolerance:
+        grew = after > before and after - before > before * tolerance
+        fell = before > after and before - after > after * tolerance
+        if higher_is_better(counter):
+            grew, fell = fell, grew
+            moved = "fell"
+        else:
+            moved = "grew"
+        if grew:
             findings.append(Finding(
                 "regression", name,
-                f"counter {counter}{label} grew {before} -> {after} "
-                f"(+{_pct(after, before)}, tolerance "
+                f"counter {counter}{label} {moved} {before} -> {after} "
+                f"({_pct(after, before)}, tolerance "
                 f"{tolerance:.0%})"))
-        elif before > after and before - after > after * tolerance:
+        elif fell:
             findings.append(Finding(
                 "note", name,
                 f"counter {counter}{label} improved "
@@ -143,7 +160,7 @@ def _compare_advisory(name: str, label: str, base: dict, curr: dict,
                 "advisory", name,
                 f"{field}{label} {before * scale:.2f} -> "
                 f"{after * scale:.2f} {unit} "
-                f"(+{_pct(after, before)}; advisory only, never "
+                f"({_pct(after, before)}; advisory only, never "
                 f"gated)"))
     return findings
 
@@ -170,7 +187,7 @@ def _compare_claims(name: str, base_entry: dict,
 def _pct(after: float, before: float) -> str:
     if before == 0:
         return "new"  # counter appeared from zero: no base to scale by
-    return f"{(after - before) / before:.1%}"
+    return f"{(after - before) / before:+.1%}"
 
 
 def gate(findings: list[Finding]) -> int:

@@ -1,14 +1,17 @@
 """A larger synthetic workload: an online bookstore catalogue.
 
-Not from the paper — a realistic schema whose FD set exhibits *three*
+Not from the paper — a realistic schema whose FD set exhibits *two*
 anomalies at once, exercising both transformations and multi-step
 normalization:
 
 * ``publisher`` determines ``publisher_city`` (a university-style
   value dependency — *create element type*);
 * all ``item`` children of one ``order`` share the order's
-  ``currency`` (a DBLP-style relative dependency — *move attribute*);
-* ``isbn`` determines the book ``format`` (another create).
+  ``currency`` (a DBLP-style relative dependency — *move attribute*).
+
+The third value dependency, ``isbn -> format``, is *not* an anomaly:
+``isbn`` is a key (``@isbn -> book`` is in Σ), so the FD follows
+from the key and ``format`` is stored once per book.
 
 The generator produces conforming documents of any size with the
 dependencies satisfied, for integration tests and benchmarks.
@@ -51,7 +54,7 @@ store.order -> store.order.item.@currency
 
 
 def bookstore_spec() -> XMLSpec:
-    """The three-anomaly bookstore specification."""
+    """The two-anomaly bookstore specification."""
     return XMLSpec.parse(BOOKSTORE_DTD, BOOKSTORE_FDS)
 
 

@@ -20,10 +20,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import InvalidDTDError, RecursionLimitError
-from repro.regex.analysis import Multiplicity, symbol_multiplicities
+from repro.regex.analysis import (Multiplicity, occurrence_bounds,
+                                  symbol_multiplicities)
 from repro.regex.ast import EPSILON, PCData, Regex
 from repro.regex.parser import parse_content_model
-from repro.dtd.paths import TEXT_STEP, Path
+from repro.dtd.paths import TEXT_STEP, Path, PathTable
 
 #: Default bound for path enumeration over recursive DTDs.
 DEFAULT_DEPTH_LIMIT = 12
@@ -199,6 +200,18 @@ class DTD:
 
         return visit(self.root)
 
+    @cached_property
+    def is_simple(self) -> bool:
+        """Whether the DTD is simple (Section 7); computed once."""
+        from repro.dtd.classify import is_simple_dtd
+        return is_simple_dtd(self)
+
+    @cached_property
+    def path_table(self) -> PathTable:
+        """The interned path table of the FD engines, grown on demand
+        and freed with the DTD."""
+        return PathTable(self)
+
     # -- paths ---------------------------------------------------------------
 
     def iter_paths(self, max_depth: int | None = None) -> Iterator[Path]:
@@ -253,7 +266,7 @@ class DTD:
             if step == TEXT_STEP:
                 return (index == len(path.steps) - 1
                         and self.has_text(parent))
-            if step not in self.child_element_types(parent):
+            if step not in self._classes(parent):
                 return False
         return True
 
@@ -266,6 +279,19 @@ class DTD:
 
     # -- multiplicities -------------------------------------------------------
 
+    @cached_property
+    def _multiplicities(self) -> dict[str, dict[str, Multiplicity | None]]:
+        return {}
+
+    def _classes(self, element: str) -> dict[str, Multiplicity | None]:
+        """The multiplicity class of every symbol of ``P(element)``,
+        computed once per element type."""
+        classes = self._multiplicities.get(element)
+        if classes is None:
+            classes = symbol_multiplicities(self.content(element))
+            self._multiplicities[element] = classes
+        return classes
+
     def child_multiplicity(self, element: str, child: str) -> Multiplicity:
         """Occurrence class of ``child`` in ``P(element)``.
 
@@ -274,13 +300,10 @@ class DTD:
         (``PLUS`` if forced, else ``STAR``), which is all the FD engines
         rely on (forcedness and at-most-one-ness).
         """
-        production = self.content(element)
-        classes = symbol_multiplicities(production)
-        cls = classes.get(child)
+        cls = self._classes(element).get(child)
         if cls is not None:
             return cls
-        from repro.regex.analysis import occurrence_bounds
-        low, high = occurrence_bounds(production, child)
+        low, high = occurrence_bounds(self.content(element), child)
         if high == 0:
             return Multiplicity.ZERO
         if low >= 1:

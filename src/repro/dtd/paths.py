@@ -7,15 +7,21 @@ an attribute name (``@l``), or the reserved text symbol ``S``
 paper (``courses.course.@cno``).
 
 :class:`Path` is immutable and hashable, so paths can be set members
-and dict keys throughout the FD machinery.
+and dict keys throughout the FD machinery.  :class:`PathTable` interns
+the paths of one DTD to small integer IDs for the closure engine.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from functools import total_ordering
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import InvalidPathError
+
+if TYPE_CHECKING:
+    from repro.dtd.model import DTD
 
 #: Reserved step denoting #PCDATA content.
 TEXT_STEP = "S"
@@ -169,6 +175,117 @@ class Path:
 
     def __repr__(self) -> str:
         return f"Path({str(self)!r})"
+
+
+class PathTable:
+    """The paths of one DTD, interned to integer IDs on demand.
+
+    Built lazily per DTD (:attr:`repro.dtd.model.DTD.path_table`) and
+    grown only by the paths it is asked about and their prefixes, so it
+    stays finite for recursive DTDs.  A parent is interned before its
+    children: IDs ascend along every prefix chain, and they are handed
+    out in request order, never in hash order.
+
+    Per ID: ``parent[i]`` (``-1`` for a length-one path) and
+    ``chain[i]`` (a bitmask of the path's prefixes, itself included);
+    :meth:`path` rebuilds the :class:`Path` for the API boundary.
+    Bitmasks over all IDs classify the last step: ``elements`` (element
+    paths; the rest end in an attribute or the text step), ``forced``
+    (a non-null parent forces the step non-null: attributes, text,
+    children of multiplicity ``1``/``+``) and ``determined`` (equal
+    parents force the step equal: attributes, text, children of
+    multiplicity ``1``/``?``).  Interning is locked, so one table can
+    serve concurrent engines.  The table refers to its DTD weakly, so
+    the pair is freed by reference counting, not left to the cycle
+    collector.
+    """
+
+    def __init__(self, dtd: "DTD") -> None:
+        self._dtd = weakref.ref(dtd)
+        self._ids: dict[tuple[str, ...], int] = {}
+        self._lock = threading.Lock()
+        self._steps: list[tuple[str, ...]] = []
+        self.parent: list[int] = []
+        self.chain: list[int] = []
+        self.elements = 0
+        self.forced = 0
+        self.determined = 0
+        self.id(Path.root(dtd.root))
+
+    def id(self, path: Path) -> int:
+        """The ID of ``path``, interning it (and its prefixes) if new."""
+        found = self._ids.get(path._steps)
+        if found is None:
+            with self._lock:
+                found = self._intern(path._steps)
+        return found
+
+    def mask(self, paths: Iterable[Path]) -> int:
+        """The bitmask of ``paths``."""
+        mask = 0
+        for path in paths:
+            mask |= 1 << self.id(path)
+        return mask
+
+    def chains(self, ids: Iterable[int]) -> int:
+        """The prefix-closure of the paths ``ids`` as a bitmask."""
+        mask = 0
+        for i in ids:
+            mask |= self.chain[i]
+        return mask
+
+    def path(self, i: int) -> Path:
+        """The path with ID ``i``."""
+        return Path(self._steps[i])
+
+    def to_paths(self, mask: int) -> frozenset[Path]:
+        """The paths of a bitmask."""
+        return frozenset(self.path(i) for i in bits(mask))
+
+    def _intern(self, steps: tuple[str, ...]) -> int:
+        found = self._ids.get(steps)
+        if found is not None:
+            return found
+        parent = self._intern(steps[:-1]) if len(steps) > 1 else -1
+        index = len(self._steps)
+        bit = 1 << index
+        if parent < 0:
+            chain = bit
+        else:
+            chain = self.chain[parent] | bit
+            forced, determined = self._step(steps[-2], steps[-1])
+            if forced:
+                self.forced |= bit
+            if determined:
+                self.determined |= bit
+        step = steps[-1]
+        if not (step.startswith("@") or step == TEXT_STEP):
+            self.elements |= bit
+        self._steps.append(steps)
+        self.parent.append(parent)
+        self.chain.append(chain)
+        self._ids[steps] = index
+        return index
+
+    def _step(self, parent_type: str, step: str) -> tuple[bool, bool]:
+        """(forced, determined) for ``step`` below ``parent_type``."""
+        dtd = self._dtd()
+        if step.startswith("@"):
+            declared = step in dtd.attrs(parent_type)
+            return declared, declared
+        if step == TEXT_STEP:
+            text = dtd.has_text(parent_type)
+            return text, text
+        multiplicity = dtd.child_multiplicity(parent_type, step)
+        return multiplicity.forced, multiplicity.at_most_one
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def parse_paths(text: str) -> list[Path]:

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.dtd.classify import is_simple_dtd
-from repro.dtd.paths import Path
 from repro.dtd.model import DTD
-from repro.fd.closure import SPLIT_DEPTH, _relevant_sigma, _Solver
+from repro.fd.closure import derivation
 from repro.fd.model import FD
 
 
@@ -23,24 +21,18 @@ def closure_derivation(dtd: DTD, sigma: Iterable[FD], fd: FD,
     """(derivable?, derivation lines) for a single-RHS FD."""
     sigma = list(sigma)
     target = fd.single_rhs
-    relevant = _relevant_sigma(sigma, fd)
-    solver = _Solver(dtd, relevant, fd.lhs,
-                     extra=frozenset({target}))
-    solver.events = []
-    eq, _nn = solver.solve(frozenset(), frozenset(), SPLIT_DEPTH)
-    derived = target in eq
+    derived, events, relevant = derivation(dtd, sigma, fd)
 
     lines = [
         "hypothesis: two maximal tuples agree (non-null) on "
         + ", ".join(str(p) for p in sorted(fd.lhs, key=str)),
         f"goal: they agree on {target}",
     ]
-    if len(relevant) != len(sigma):
+    if relevant != len(sigma):
         lines.append(
-            f"(pruned {len(sigma) - len(relevant)} FD(s) not connected "
+            f"(pruned {len(sigma) - relevant} FD(s) not connected "
             "to the goal)")
-    assert solver.events is not None
-    for kind, path, reason in solver.events:
+    for kind, path, reason in events:
         lines.append(f"derive {kind}({path}): {reason}")
         if kind == "EQ" and path == target:
             break
@@ -50,7 +42,7 @@ def closure_derivation(dtd: DTD, sigma: Iterable[FD], fd: FD,
         lines.append(
             f"fixpoint reached without EQ({target}) — "
             + ("not implied (the closure is complete for this simple "
-               "DTD)" if is_simple_dtd(dtd) else
+               "DTD)" if dtd.is_simple else
                "the closure cannot decide; the chase engine settles "
                "non-simple DTDs"))
     return derived, lines

@@ -44,11 +44,10 @@ import weakref
 from typing import Iterable, Literal, NamedTuple
 
 from repro.errors import ResourceExhausted, UnsupportedFeatureError
-from repro.dtd.classify import is_simple_dtd
 from repro.dtd.model import DTD
 from repro.fd.brute import brute_implies
 from repro.fd.chase import chase_implies
-from repro.fd.closure import closure_implies
+from repro.fd.closure import CompiledSigma, closure_implies
 from repro.fd.model import FD
 from repro.obs import metrics as _obs
 
@@ -112,8 +111,10 @@ class ImplicationEngine:
         self.dtd = dtd
         self.sigma = [fd.validate(dtd) for fd in sigma]
         self.engine: EngineName = engine
-        self._simple = is_simple_dtd(dtd)
+        self._simple = dtd.is_simple
         self._cache: dict[CacheKey, bool] = {}
+        self._compiled: CompiledSigma | None = None
+        self._trivial: ImplicationEngine | None = None
         self._hits = 0
         self._misses = 0
         _live_engines.add(self)
@@ -213,10 +214,12 @@ class ImplicationEngine:
                          len(self._cache))
 
     def cache_clear(self) -> None:
-        """Drop every cached answer and zero the statistics."""
+        """Drop every cached answer (the ``(D, ∅)`` engine of
+        :meth:`is_trivial` included) and zero the statistics."""
         self._cache.clear()
         self._hits = 0
         self._misses = 0
+        self._trivial = None
 
     @classmethod
     def clear_all_caches(cls) -> int:
@@ -239,14 +242,25 @@ class ImplicationEngine:
         return self._hits + self._misses
 
     def is_trivial(self, fd: FD) -> bool:
-        """``(D, ∅) |- fd``: the FD holds in every conforming tree."""
-        return implies(self.dtd, [], fd, engine=self.engine)
+        """``(D, ∅) |- fd``: the FD holds in every conforming tree.
+
+        Answered by one lazily built, cached ``(D, ∅)`` engine."""
+        if self._trivial is None:
+            self._trivial = ImplicationEngine(self.dtd, [],
+                                              engine=self.engine)
+        return self._trivial.implies(fd)
+
+    def _closure_sigma(self) -> CompiledSigma:
+        """Σ compiled for the closure engine, once per engine."""
+        if self._compiled is None:
+            self._compiled = CompiledSigma(self.dtd, self.sigma)
+        return self._compiled
 
     def _decide(self, fd: FD) -> bool:
         if self.engine == "closure":
             if _obs.enabled:
                 _obs.inc("implication.engine.closure")
-            return closure_implies(self.dtd, self.sigma, fd)
+            return closure_implies(self.dtd, self._closure_sigma(), fd)
         if self.engine == "chase":
             if _obs.enabled:
                 _obs.inc("implication.engine.chase")
@@ -269,7 +283,7 @@ class ImplicationEngine:
         # DTDs), then the chase for the general case.
         if _obs.enabled:
             _obs.inc("implication.engine.closure")
-        if closure_implies(self.dtd, self.sigma, fd):
+        if closure_implies(self.dtd, self._closure_sigma(), fd):
             return True
         if self._simple:
             return False

@@ -25,6 +25,7 @@ from repro.errors import (
     ConformanceError,
     InvalidFDError,
     NormalizationError,
+    RecursionLimitError,
     UnsupportedFeatureError,
 )
 from repro.dtd.model import DTD
@@ -117,14 +118,34 @@ def _single_occurrence_guard(dtd: DTD, element: str, *,
                              context: str) -> Path:
     """The unique DTD path ending at ``element``; transformations edit
     DTDs at the element-type level, so a type reachable along several
-    paths cannot be transformed unambiguously."""
-    hits = [p for p in dtd.paths if p.is_element and p.last == element]
-    if len(hits) != 1:
+    paths cannot be transformed unambiguously.  The paths are counted
+    up the element-type graph, without enumerating ``paths(D)``."""
+    if dtd.is_recursive:
+        raise RecursionLimitError(
+            f"{context}: the Section 6 transformations require a "
+            "non-recursive DTD")
+    parents: dict[str, list[str]] = {}
+    for parent in sorted(dtd.reachable_types):
+        for child in dtd.child_element_types(parent):
+            parents.setdefault(child, []).append(parent)
+    counts = {dtd.root: 1}
+
+    def count(name: str) -> int:
+        if name not in counts:
+            counts[name] = sum(count(p) for p in parents.get(name, ()))
+        return counts[name]
+
+    hits = count(element)
+    if hits != 1:
         raise UnsupportedFeatureError(
             f"{context}: element type {element!r} occurs at "
-            f"{len(hits)} paths; the Section 6 transformations require "
+            f"{hits} paths; the Section 6 transformations require "
             "a unique occurrence")
-    return hits[0]
+    # One path in: every type on it has exactly one reachable parent.
+    steps = [element]
+    while steps[-1] != dtd.root:
+        steps.append(parents[steps[-1]][0])
+    return Path(tuple(reversed(steps)))
 
 
 def _drop_dead_and_trivial(dtd: DTD, fds: Iterable[FD]) -> list[FD]:

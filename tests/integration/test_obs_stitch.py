@@ -27,8 +27,10 @@ from repro.runtime.pool import pool_available
 
 #: Big enough that task work dominates pool spawn/teardown — the
 #: >=95% attribution bar is about instrumentation coverage, not about
-#: how tiny a batch can get before fixed overhead wins.
-TASKS = 16
+#: how tiny a batch can get before fixed overhead wins.  Corpus tasks
+#: average ~4 ms, and the fixed pool cost is ~40 ms on a 2-core
+#: machine.
+TASKS = 64
 
 pytestmark = pytest.mark.skipif(
     not pool_available(), reason="fork start method unavailable")

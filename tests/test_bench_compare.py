@@ -59,6 +59,22 @@ class TestCompare:
         assert [f.severity for f in findings] == ["note"]
         assert compare.gate(findings) == 0
 
+    def test_cache_hits_are_higher_is_better(self):
+        """More cache hits with fewer misses is an improvement; fewer
+        hits is the regression."""
+        base = make_payload({"implication.cache.hit": 7,
+                             "implication.cache.miss": 40})
+        curr = make_payload({"implication.cache.hit": 13,
+                             "implication.cache.miss": 34})
+        findings = compare.compare_payloads(base, curr, tolerance=0.05)
+        assert [f.severity for f in findings] == ["note", "note"]
+        assert compare.gate(findings) == 0
+        findings = compare.compare_payloads(curr, base, tolerance=0.05)
+        assert [f.severity for f in findings] == ["regression",
+                                                  "regression"]
+        assert "fell 13 -> 7" in findings[0].detail
+        assert compare.gate(findings) == 1
+
     def test_new_counter_appearing_gates(self):
         base = make_payload({"chase.steps": 100})
         curr = make_payload({"chase.steps": 100,
