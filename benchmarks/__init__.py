@@ -1,9 +1,9 @@
-"""Benchmark entry points (thin shims over :mod:`repro.bench`).
+"""Standalone overhead gates and committed benchmark baselines.
 
 The workloads themselves are registered declaratively in
 ``src/repro/bench/suites/`` and run through the benchmark observatory
-(``xnf bench run``; see ``docs/BENCHMARKS.md``).  Each ``bench_*.py``
-here runs one group; ``bench_guard.py`` additionally keeps the
-standalone <1 % disabled-guard overhead gate; committed counter
+(``xnf bench run [--only GROUP.]``; see ``docs/BENCHMARKS.md``).  The
+``bench_*.py`` scripts here are the standalone <1 % overhead gates
+(guard, runtime, journal, ledger, exporter, serve); committed counter
 baselines for the CI regression gate live under ``baselines/``.
 """

@@ -21,46 +21,90 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.dtd import (
-    DTD,
-    Path,
-    is_disjunctive_dtd,
-    is_simple_dtd,
-    parse_dtd,
-    serialize_dtd,
-)
-from repro.xmltree import XMLTree, conforms, elem, parse_xml, serialize_xml
-from repro.tuples import TreeTuple, trees_of, tuples_of
-from repro.fd import FD, ImplicationEngine, implies, is_trivial, satisfies
-from repro.xnf import is_in_xnf, xnf_violations
-from repro.normalize import (
-    NewElementNames,
-    NormalizationResult,
-    normalize,
-    normalize_simple,
-)
-from repro.spec import XMLSpec
-from repro.mvd import MVD, is_in_xnf4, satisfies_mvd, tree_induced_mvds
-from repro.report import DesignReport, analyze, redundancy_of
-from repro.fd.explain import explain_implication
+import importlib
+import sys
+import types
 
-__all__ = [
-    "__version__",
+#: Every public name, with the module that defines it.  Nothing is
+#: imported until first use (PEP 562), so ``import repro.cli`` or
+#: ``import repro.fd`` loads only the modules its caller runs.
+_EXPORTS = {
     # DTDs and paths
-    "DTD", "Path", "parse_dtd", "serialize_dtd",
-    "is_simple_dtd", "is_disjunctive_dtd",
+    "DTD": "repro.dtd.model",
+    "Path": "repro.dtd.paths",
+    "parse_dtd": "repro.dtd.parser",
+    "serialize_dtd": "repro.dtd.serializer",
+    "is_simple_dtd": "repro.dtd.classify",
+    "is_disjunctive_dtd": "repro.dtd.classify",
     # XML trees
-    "XMLTree", "elem", "parse_xml", "serialize_xml", "conforms",
+    "XMLTree": "repro.xmltree.model",
+    "elem": "repro.xmltree.model",
+    "parse_xml": "repro.xmltree.parser",
+    "serialize_xml": "repro.xmltree.serializer",
+    "conforms": "repro.xmltree.conformance",
     # tree tuples
-    "TreeTuple", "tuples_of", "trees_of",
+    "TreeTuple": "repro.tuples.model",
+    "tuples_of": "repro.tuples.extract",
+    "trees_of": "repro.tuples.build",
     # FDs
-    "FD", "satisfies", "implies", "is_trivial", "ImplicationEngine",
+    "FD": "repro.fd.model",
+    "satisfies": "repro.fd.satisfaction",
+    "implies": "repro.fd.implication",
+    "is_trivial": "repro.fd.implication",
+    "ImplicationEngine": "repro.fd.implication",
     # XNF + normalization
-    "is_in_xnf", "xnf_violations", "normalize", "normalize_simple",
-    "NormalizationResult", "NewElementNames",
+    "is_in_xnf": "repro.xnf.check",
+    "xnf_violations": "repro.xnf.check",
+    "normalize": "repro.normalize.algorithm",
+    "normalize_simple": "repro.normalize.simple_algorithm",
+    "NormalizationResult": "repro.normalize.algorithm",
+    "NewElementNames": "repro.normalize.transforms",
     # the facade
-    "XMLSpec",
+    "XMLSpec": "repro.spec",
     # extensions: MVDs (Section 8), reporting, explanations
-    "MVD", "satisfies_mvd", "tree_induced_mvds", "is_in_xnf4",
-    "DesignReport", "analyze", "redundancy_of", "explain_implication",
-]
+    "MVD": "repro.mvd.model",
+    "satisfies_mvd": "repro.mvd.satisfaction",
+    "tree_induced_mvds": "repro.mvd.induced",
+    "is_in_xnf4": "repro.mvd.xnf4",
+    "DesignReport": "repro.report",
+    "analyze": "repro.report",
+    "redundancy_of": "repro.report",
+    "explain_implication": "repro.fd.explain",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    else:
+        # A subpackage, so that ``import repro; repro.dtd`` works
+        # without importing ``repro.dtd`` first.
+        try:
+            value = importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as error:
+            if error.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # Loading a subpackage binds it on its parent, and
+        # ``repro.normalize`` is both a subpackage and the Figure 4
+        # function.  The name keeps meaning the function.
+        if isinstance(value, types.ModuleType) and name in _EXPORTS:
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+

@@ -28,27 +28,30 @@ Usage::
 
 from __future__ import annotations
 
-from repro.bench.registry import (
-    Benchmark,
-    Claim,
-    all_benchmarks,
-    benchmark,
-    get,
-    load_default_suites,
-    select,
-)
-from repro.bench.runner import isolate, run_benchmark, run_suite
-from repro.bench.schema import (
-    SCHEMA_VERSION,
-    BenchReportError,
-    validate,
-)
-from repro.bench.compare import compare_payloads, gate, load_report
+import importlib
 
-__all__ = [
-    "Benchmark", "Claim", "benchmark", "all_benchmarks", "get",
-    "select", "load_default_suites",
-    "isolate", "run_benchmark", "run_suite",
-    "SCHEMA_VERSION", "BenchReportError", "validate",
-    "compare_payloads", "gate", "load_report",
-]
+#: Public name -> defining submodule, loaded on first use (PEP 562):
+#: the main CLI builds its ``bench`` subparser from
+#: :mod:`repro.bench.cli` without loading the runner or the suites.
+_EXPORTS = {
+    "Benchmark": "registry", "Claim": "registry", "benchmark": "registry",
+    "all_benchmarks": "registry", "get": "registry", "select": "registry",
+    "load_default_suites": "registry",
+    "isolate": "runner", "run_benchmark": "runner", "run_suite": "runner",
+    "SCHEMA_VERSION": "schema", "BenchReportError": "schema",
+    "validate": "schema",
+    "compare_payloads": "compare", "gate": "compare",
+    "load_report": "compare",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(
+        importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

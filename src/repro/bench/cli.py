@@ -22,8 +22,6 @@ import argparse
 import json
 import sys
 
-from repro.bench import compare as _compare
-from repro.bench import runner as _runner
 from repro.bench.schema import BenchReportError
 from repro.errors import ResourceExhausted
 
@@ -38,6 +36,7 @@ DEFAULT_OUT = "BENCH_core.json"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.bench import runner as _runner
     limits = {"deadline": getattr(args, "timeout", None),
               "max_steps": getattr(args, "max_steps", None),
               "max_branches": getattr(args, "max_branches", None),
@@ -71,6 +70,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.bench import compare as _compare
     try:
         baseline = _compare.load_report(args.baseline)
         current = _compare.load_report(args.current)
@@ -86,6 +86,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.bench import compare as _compare
     try:
         payload = _compare.load_report(args.file)
     except BenchReportError as error:

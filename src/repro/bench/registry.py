@@ -25,8 +25,8 @@ base for exponential ones), and the threshold the fit is asserted
 against.  The runner records the fit and its PASS/FAIL verdict in the
 report (:mod:`repro.bench.slopes` does the fitting).
 
-The default suite lives in :mod:`repro.bench.suites`; the thin
-``benchmarks/bench_*.py`` entry points re-export it group by group.
+The default suite lives in :mod:`repro.bench.suites`; ``python -m
+repro.bench run --only GROUP.`` runs one group of it.
 """
 
 from __future__ import annotations

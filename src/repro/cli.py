@@ -102,10 +102,16 @@ FD files contain one FD per line (``#`` comments allowed), e.g.::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from pathlib import Path as FilePath
+from typing import TYPE_CHECKING
 
+# Each command imports the pipeline modules it runs, at its own
+# boundary: a fresh ``xnf classify`` never loads the implication
+# engines, and only ``serve`` and ``--metrics-port`` load the HTTP
+# stack.
 from repro import guard, obs
 from repro.errors import (
     CheckpointError,
@@ -114,12 +120,9 @@ from repro.errors import (
     ReproError,
     ResourceExhausted,
 )
-from repro.dtd.parser import parse_dtd
-from repro.dtd.serializer import serialize_dtd
-from repro.fd.implication import UNKNOWN, YES
-from repro.fd.model import FD, parse_fds
-from repro.spec import XMLSpec
-from repro.xmltree.parser import parse_xml
+
+if TYPE_CHECKING:
+    from repro.spec import XMLSpec
 
 #: Uniform exit codes (documented in the module docstring).
 EXIT_OK = 0
@@ -132,6 +135,7 @@ EXIT_PARTIAL = 5
 
 def _load_spec(dtd_file: str, fd_file: str | None,
                root: str | None) -> XMLSpec:
+    from repro.spec import XMLSpec
     # A named child span keeps the root CLI span's wall time almost
     # fully attributed when profiled (`xnf obs report`).
     with obs.span("spec.parse", dtd=dtd_file):
@@ -153,6 +157,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    from repro.dtd.serializer import serialize_dtd
     from repro.normalize import checkpoint as ckpt
     spec = _load_spec(args.dtd, args.fds, args.root)
     checkpoint_path = getattr(args, "checkpoint", None)
@@ -189,6 +194,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_implies(args: argparse.Namespace) -> int:
+    from repro.fd.implication import UNKNOWN, YES
+    from repro.fd.model import FD
     spec = _load_spec(args.dtd, args.fds, args.root)
     fd = FD.parse(args.fd)
     verdict = spec.decide(fd)
@@ -201,9 +208,11 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 
 
 def _cmd_tuples(args: argparse.Namespace) -> int:
+    from repro.dtd.parser import parse_dtd
+    from repro.tuples.extract import tuples_of
+    from repro.xmltree.parser import parse_xml
     dtd = parse_dtd(FilePath(args.dtd).read_text(), root=args.root)
     tree = parse_xml(FilePath(args.xml).read_text())
-    from repro.tuples.extract import tuples_of
     tuples = tuples_of(tree, dtd)
     paths = sorted({p for t in tuples for p in t.paths}, key=str)
     print("\t".join(str(p) for p in paths))
@@ -214,15 +223,16 @@ def _cmd_tuples(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.dtd, args.fds, args.root)
     from repro.fd.explain import explain_implication
+    spec = _load_spec(args.dtd, args.fds, args.root)
     print(explain_implication(spec.dtd, spec.sigma, args.fd), end="")
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.dtd, args.fds, args.root)
     from repro.report import analyze
+    from repro.xmltree.parser import parse_xml
+    spec = _load_spec(args.dtd, args.fds, args.root)
     documents = [parse_xml(FilePath(path).read_text())
                  for path in args.xml]
     report = analyze(spec, documents)
@@ -467,6 +477,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.dtd.classify import (
         disjunction_measure, is_disjunctive_dtd, is_simple_dtd)
+    from repro.dtd.parser import parse_dtd
     dtd = parse_dtd(FilePath(args.dtd).read_text(), root=args.root)
     print(f"recursive:   {dtd.is_recursive}")
     simple = is_simple_dtd(dtd)
@@ -539,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="test whether (D, Sigma) is in XNF")
     check.add_argument("dtd")
     check.add_argument("fds")
-    check.set_defaults(func=_cmd_check)
+    check.set_defaults(func=_cmd_check, loads=("repro.spec",))
 
     norm = sub.add_parser("normalize", parents=[common],
                           help="run the XNF decomposition algorithm")
@@ -552,39 +563,41 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--resume", action="store_true",
                       help="restart from the checkpoint in --checkpoint "
                       "FILE instead of from scratch")
-    norm.set_defaults(func=_cmd_normalize)
+    norm.set_defaults(func=_cmd_normalize,
+                      loads=("repro.spec", "repro.normalize.checkpoint"))
 
     imp = sub.add_parser("implies", parents=[common],
                          help="decide (D, Sigma) |- FD")
     imp.add_argument("dtd")
     imp.add_argument("fds")
     imp.add_argument("fd", help='query, e.g. "db.conf.title.S -> db.conf"')
-    imp.set_defaults(func=_cmd_implies)
+    imp.set_defaults(func=_cmd_implies, loads=("repro.spec",))
 
     tup = sub.add_parser("tuples", parents=[common],
                          help="print tuples_D(T) as a table")
     tup.add_argument("dtd")
     tup.add_argument("xml")
-    tup.set_defaults(func=_cmd_tuples)
+    tup.set_defaults(func=_cmd_tuples, loads=("repro.tuples",))
 
     cls = sub.add_parser("classify", parents=[common],
                          help="classify a DTD (Section 7)")
     cls.add_argument("dtd")
-    cls.set_defaults(func=_cmd_classify)
+    cls.set_defaults(func=_cmd_classify, loads=("repro.dtd",))
 
     exp = sub.add_parser("explain", parents=[common],
                          help="show the derivation of an implication")
     exp.add_argument("dtd")
     exp.add_argument("fds")
     exp.add_argument("fd")
-    exp.set_defaults(func=_cmd_explain)
+    exp.set_defaults(func=_cmd_explain,
+                     loads=("repro.spec", "repro.fd.explain"))
 
     ana = sub.add_parser("analyze", parents=[common],
                          help="design analysis + redundancy report")
     ana.add_argument("dtd")
     ana.add_argument("fds")
     ana.add_argument("xml", nargs="*", help="documents to measure")
-    ana.set_defaults(func=_cmd_analyze)
+    ana.set_defaults(func=_cmd_analyze, loads=("repro.report",))
 
     from repro.bench.cli import configure_parser as _configure_bench
     ben = sub.add_parser("bench",
@@ -706,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "summary byte-identical to an uninterrupted "
                      "serial run whenever no breaker opened "
                      "(docs/ROBUSTNESS.md)")
-    bat.set_defaults(func=_cmd_batch)
+    bat.set_defaults(func=_cmd_batch, loads=("repro.runtime",))
 
     def _pos_float(text: str) -> float:
         value = float(text)
@@ -742,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="parsed specs kept in the fingerprint-keyed "
                      "LRU (default 128)")
-    srv.set_defaults(func=_cmd_serve)
+    srv.set_defaults(func=_cmd_serve, loads=("repro.serve",))
     return parser
 
 
@@ -841,6 +854,11 @@ def main(argv: list[str] | None = None) -> int:
     # deadline would kill the daemon itself.
     process_budget = {} if args.command == "serve" else budget_kwargs
     try:
+        # A command's main modules load before its span opens, so a
+        # --trace profile charges the span with the command's work,
+        # not with start-up.
+        for module in getattr(args, "loads", ()):
+            importlib.import_module(module)
         with obs.span(f"cli.{args.command}"):
             with guard.limits(**process_budget):
                 if fault_plan is not None:

@@ -51,7 +51,8 @@ from repro.fd.model import FD
 from repro.guard import budget as _guard
 from repro.obs import metrics as _obs
 from repro.fd.satisfaction import satisfies, satisfies_all, violating_pairs
-from repro.regex.ast import PCData, Regex
+from repro.regex.analysis import occurrence_bounds
+from repro.regex.ast import Concat, PCData, Regex
 from repro.regex.matching import matches_multiset
 from repro.tuples.extract import tuples_of
 from repro.xmltree.conformance import conforms_unordered
@@ -286,7 +287,6 @@ class _Tableau:
                     self._absorb(survivor, self._resolve(other))
                     survivor = self._resolve(survivor)
             else:
-                from repro.regex.analysis import occurrence_bounds
                 _low, high = occurrence_bounds(
                     self.dtd.content(label), child_label)
                 if len(members) > high:
@@ -484,8 +484,6 @@ def _minimal_completions(production: Regex,
     structure of ``m`` disjunctions without an exponential scan of the
     whole alphabet.
     """
-    from repro.regex.ast import Concat
-
     if isinstance(production, Concat):
         alphabets = [part.alphabet() for part in production.parts]
         disjoint = all(
@@ -523,8 +521,6 @@ def _minimal_completions(production: Regex,
 def _enumerate_completions(production: Regex,
                            counts: Counter) -> list[Counter]:
     """Exhaustive antichain search (used per factor / as fallback)."""
-    from repro.regex.analysis import occurrence_bounds
-
     alphabet = sorted(production.alphabet())
     deficit = sum(
         max(0, occurrence_bounds(production, symbol)[0] - counts[symbol])

@@ -117,6 +117,13 @@ class ImplicationEngine:
         self._trivial: ImplicationEngine | None = None
         self._hits = 0
         self._misses = 0
+        if engine == "ensemble":
+            # Imported here, once per engine rather than per query:
+            # repro.runtime.ensemble imports the individual engines,
+            # not this facade, so there is no cycle — but the runtime
+            # package stays unloaded for plain implication users.
+            from repro.runtime.ensemble import differential_implies
+            self._differential = differential_implies
         _live_engines.add(self)
 
     @staticmethod
@@ -270,15 +277,10 @@ class ImplicationEngine:
                 _obs.inc("implication.engine.brute")
             return brute_implies(self.dtd, self.sigma, fd)
         if self.engine == "ensemble":
-            # Imported lazily: repro.runtime.ensemble imports the
-            # individual engines, not this facade, so there is no
-            # cycle — but the runtime package should stay optional
-            # for plain implication users.
-            from repro.runtime.ensemble import differential_implies
             if _obs.enabled:
                 _obs.inc("implication.engine.ensemble")
-            return differential_implies(self.dtd, self.sigma, fd,
-                                        simple=self._simple)
+            return self._differential(self.dtd, self.sigma, fd,
+                                      simple=self._simple)
         # auto: closure first (sound everywhere, complete for simple
         # DTDs), then the chase for the general case.
         if _obs.enabled:

@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.dtd.model import DTD
 from repro.dtd.paths import Path
 from repro.faults import plan as _faults
+from repro.fd.closure import pair_closure
 from repro.fd.implication import EngineName, ImplicationEngine
 from repro.fd.model import FD
 from repro.guard import budget as _guard
@@ -211,7 +212,6 @@ def _q_is_safe(dtd: DTD, value: Path, q: Path) -> bool:
     value-preserving migrator needs the target to exist already; the
     pair-closure's NN predicate decides exactly that.
     """
-    from repro.fd.closure import pair_closure
     _eq, nn = pair_closure(dtd, [], frozenset({value}), extra={q})
     return q in nn
 

@@ -18,6 +18,7 @@ becomes removing that element from its parent's production, and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -46,6 +47,7 @@ from repro.regex.ast import (
     Union,
     concat,
     optional,
+    plus,
     star,
     sym,
     union,
@@ -110,7 +112,6 @@ def _remove_symbol(regex: Regex, name: str) -> Regex:
 
 
 def plus_or_eps(inner: Regex) -> Regex:
-    from repro.regex.ast import plus
     return plus(inner)
 
 
@@ -574,8 +575,6 @@ def _transferred_fds(oracle: ImplicationEngine, q: Path,
     """Rule 2 of the construction: every implied FD over
     ``{q, p1, ..., pn, p1.@l1, ..., pn.@ln, value}`` is transferred to
     the new element type through ``renaming``."""
-    import itertools
-
     pool: list[Path] = [q]
     pool.extend(key.parent for key in keys)
     pool.extend(keys)

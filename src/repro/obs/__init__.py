@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import os
 
-from repro.obs import export, metrics, render, trace
-from repro.obs.export import MetricsExporter, prometheus_text, start_exporter
+from repro.obs import metrics, render, trace
 from repro.obs.metrics import (
     counter_value,
     disable,
@@ -79,10 +78,14 @@ def __getattr__(name: str):
     # ``obs.profile`` (and its CLI) import the benchmark comparator,
     # which itself imports ``repro.obs`` — loading them lazily keeps
     # the package import acyclic for every consumer that only wants
-    # metrics/spans.
-    if name in ("profile", "cli", "ledger"):
-        import importlib
+    # metrics/spans.  The exporter loads on first use: ``http.server``
+    # and its dependencies cost every command tens of milliseconds of
+    # start-up, and only ``--metrics-port`` and ``xnf serve`` need them.
+    import importlib
+    if name in ("profile", "cli", "ledger", "export"):
         return importlib.import_module(f"repro.obs.{name}")
+    if name in ("MetricsExporter", "prometheus_text", "start_exporter"):
+        return getattr(importlib.import_module("repro.obs.export"), name)
     raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
 
 if os.environ.get("REPRO_OBS", "") not in ("", "0"):  # pragma: no cover

@@ -35,18 +35,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.obs import ledger as _ledger
-from repro.obs import profile as _profile
-from repro.obs.ledger import LedgerError
-from repro.obs.profile import TraceError
-from repro.bench.compare import gate, render_findings
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.obs import profile as _profile
     profile = _profile.load_profile(args.trace_path)
     print(_profile.render_report(
         profile, counters=not args.no_counters,
@@ -55,6 +50,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_flame(args: argparse.Namespace) -> int:
+    from repro.obs import profile as _profile
     profile = _profile.load_profile(args.trace_path)
     folded = _profile.folded_stacks(profile)
     if args.out and args.out != "-":
@@ -68,6 +64,7 @@ def cmd_flame(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from repro.obs import profile as _profile
     report, code = _profile.diff(args.baseline, args.current,
                                  tolerance=args.tolerance / 100.0)
     print(report, end="")
@@ -75,6 +72,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
+    from repro.obs import ledger as _ledger
     records = _ledger.read_ledger(args.ledger_path)
     print(_ledger.render_history(records, task=args.task,
                                  limit=args.limit), end="")
@@ -82,6 +80,8 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
+    from repro.bench.compare import gate, render_findings
+    from repro.obs import ledger as _ledger
     records = _ledger.read_ledger(args.ledger_path)
     baseline = (_ledger.read_ledger(args.baseline)
                 if args.baseline else None)
@@ -170,6 +170,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 def dispatch(args: argparse.Namespace) -> int:
     """Run the selected obs subcommand (shared with the main CLI)."""
+    from repro.obs.ledger import LedgerError
+    from repro.obs.profile import TraceError
     try:
         return args.obs_func(args)
     except (TraceError, LedgerError) as error:

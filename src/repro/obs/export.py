@@ -161,6 +161,10 @@ class MetricsExporter:
         exporter = self
 
         class Handler(BaseHTTPRequestHandler):
+            # Headers and body go out in separate sends: no Nagle delay
+            # between them (see repro.serve.server).
+            disable_nagle_algorithm = True
+
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
                 exporter._handle(self)
 

@@ -71,6 +71,11 @@ from repro.runtime.manifest import Manifest, Task
 from repro.runtime.retry import RetryPolicy, is_transient
 from repro.spec import XMLSpec
 
+# XMLSpec.normalize imports the algorithm on first use.  Loading it
+# here does that before the pool forks, not in each worker's first
+# normalize task.
+import repro.normalize.algorithm  # noqa: F401
+
 #: Bump on any incompatible change to the summary JSON layout.
 SUMMARY_VERSION = 1
 

@@ -295,7 +295,8 @@ def _heartbeat_loop(conn: _mp_connection.Connection,
 def _worker_main(worker_id: int, runner: "BatchRunner",
                  conn: _mp_connection.Connection,
                  heartbeat_interval: float,
-                 trace_wire: dict | None = None) -> None:
+                 trace_wire: dict | None = None,
+                 parent_ends: tuple = ()) -> None:
     """The forked worker entrypoint: recv task, run it, send outcome.
 
     Fork hygiene first: a fresh metrics lock + registry (the
@@ -317,7 +318,15 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
     (``("hello", id, perf_counter())``): the parent measures the
     offset between the two ``perf_counter`` origins and rebases the
     shipped span timestamps with it.
+
+    ``parent_ends`` are the supervisor's ends of this worker's pipe
+    and of every live sibling's, inherited through the fork.  The
+    worker closes them at once: while any process holds the other end
+    of ``conn``, ``recv()`` never sees EOF, and a worker of a
+    SIGKILLed supervisor would wait forever.
     """
+    for end in parent_ends:
+        end.close()
     _obs.reinit_after_fork()
     _trace.reinit_after_fork()
     span_buffer: list[dict] = []
@@ -377,8 +386,11 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
         last_counters = counters
         spans = span_buffer[:]
         span_buffer.clear()
-        with send_lock:
-            conn.send(("result", index, outcome, delta, spans))
+        try:
+            with send_lock:
+                conn.send(("result", index, outcome, delta, spans))
+        except OSError:  # parent died mid-task: nothing to report to
+            os._exit(1)
 
 
 # -- parent side -------------------------------------------------------
@@ -729,10 +741,12 @@ class PoolBackend:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             interval = self.stall_timeout / 4 \
                 if self.stall_timeout > 0 else 0.0
+            parent_ends = (parent_conn,
+                           *(worker.conn for worker in self._live.values()))
             proc = ctx.Process(
                 target=_worker_main,
                 args=(worker_id, runner, child_conn, interval,
-                      trace_wire),
+                      trace_wire, parent_ends),
                 name=f"xnf-batch-worker-{worker_id}", daemon=True)
             proc.start()
             child_conn.close()

@@ -47,6 +47,11 @@ from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
 from repro.serve.cache import SpecCache
 
+# XMLSpec.normalize imports the algorithm on first use.  Loading it
+# here does that before the server accepts connections, not inside
+# the first /v1/normalize request.
+import repro.normalize.algorithm  # noqa: F401
+
 log = logging.getLogger("repro.serve")
 
 #: Endpoint path -> handler name; the HTTP layer routes on this.

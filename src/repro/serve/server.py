@@ -126,6 +126,10 @@ class NormalizationServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Headers and body go out in separate sends; with Nagle's
+            # algorithm on, every reply on a kept-alive connection
+            # would wait out the client's delayed ACK (~40 ms).
+            disable_nagle_algorithm = True
 
             def do_GET(self) -> None:   # noqa: N802 (http.server API)
                 outer._handle_get(self)

@@ -13,7 +13,7 @@ and lossless normalization — behind one object::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
@@ -24,13 +24,15 @@ from repro.fd.implication import (
 )
 from repro.fd.model import FD, parse_fds
 from repro.fd.satisfaction import satisfies_all, violating_pairs
-from repro.normalize.algorithm import NormalizationResult, normalize
-from repro.normalize.simple_algorithm import normalize_simple
-from repro.normalize.transforms import NewElementNames
 from repro.xnf.check import is_in_xnf, xnf_violations
 from repro.xmltree.conformance import conforms, validate_conformance
 from repro.xmltree.model import XMLTree
-from repro.xmltree.parser import parse_xml
+
+if TYPE_CHECKING:
+    # Normalization and the XML parser load with the methods that run
+    # them: the XNF test and implication queries never need them.
+    from repro.normalize.algorithm import NormalizationResult
+    from repro.normalize.transforms import NewElementNames
 
 
 @dataclass
@@ -106,6 +108,7 @@ class XMLSpec:
 
     def parse_document(self, xml_text: str) -> XMLTree:
         """Parse an XML document and validate it against ``(D, Σ)``."""
+        from repro.xmltree.parser import parse_xml
         tree = parse_xml(xml_text)
         validate_conformance(tree, self.dtd)
         return tree
@@ -141,6 +144,7 @@ class XMLSpec:
         :func:`repro.normalize.algorithm.normalize` for checkpointed,
         resumable runs.
         """
+        from repro.normalize.algorithm import normalize
         return normalize(self.dtd, self.sigma, engine=self.engine,
                          naming=naming, check_progress=check_progress,
                          resume=resume, on_step=on_step)
@@ -149,6 +153,7 @@ class XMLSpec:
                                                    NewElementNames]
                          | None = None) -> NormalizationResult:
         """The implication-free variant (Proposition 7)."""
+        from repro.normalize.simple_algorithm import normalize_simple
         return normalize_simple(self.dtd, self.sigma, naming=naming)
 
     def explain(self, fd: FD | str) -> str:

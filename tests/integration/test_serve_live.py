@@ -9,10 +9,12 @@ under overload, a clean drain that loses no accepted request, exit 0.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -82,6 +84,29 @@ class TestWireContract:
         assert status == 200
         status, body = _get(base + "/metrics")
         assert status == 200
+
+    def test_keep_alive_replies_skip_the_delayed_ack(self, server):
+        """20 requests on one kept-alive connection.  The server sends
+        headers and body separately; with Nagle's algorithm on, each
+        reply would wait out the client's delayed ACK (~40 ms)."""
+        body = json.dumps({"dtd": SIMPLE_DTD, "fds": SIMPLE_FDS,
+                           "fd": SIMPLE_FDS})
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        round_trips = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/v1/implication", body=body,
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["verdict"] == "yes"
+                round_trips.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.015, round_trips
 
     def test_unknown_path_and_wrong_method(self, server):
         base = server.url()

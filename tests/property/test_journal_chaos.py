@@ -6,7 +6,9 @@ This is the acceptance harness for the batch journal: each case runs
 the real CLI in a subprocess, kills it with SIGKILL (no cleanup, no
 atexit — the honest crash), then loops ``--resume`` until a run
 completes, and byte-compares the final summary against an
-uninterrupted serial run of the same manifest.  The manifest carries
+uninterrupted serial run of the same manifest.  After every kill,
+each ``--workers`` pool process of the dead supervisor must exit on
+its own (none may be left orphaned).  The manifest carries
 deterministic per-task failures (broken DTDs → permanent
 dead-letters) rather than ``REPRO_FAULTS`` arms: fault plans fire at
 process-global hit counts, so a resumed tail would see different
@@ -97,6 +99,49 @@ def _assert_journal_invariants(journal):
             seen.add(record["index"])
 
 
+def _stat(pid):
+    """``(state, start time)`` of ``pid`` from Linux ``/proc``, or
+    ``None`` once it is gone.  The start time tells a reused PID from
+    the original process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # The fields after the parenthesised command name start at
+            # the state; the start time is the 22nd field overall.
+            fields = handle.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+    return fields[0], fields[19]
+
+
+def _children(pid):
+    """``{pid: start time}`` of ``pid``'s child processes (empty where
+    ``/proc`` is unavailable)."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as handle:
+            pids = [int(child) for child in handle.read().split()]
+    except OSError:
+        return {}
+    return {child: stat[1] for child in pids
+            if (stat := _stat(child)) is not None}
+
+
+def _assert_no_orphans(workers, deadline_s=10.0):
+    """Every pool worker of a SIGKILLed parent exits on its own."""
+    def running():
+        # A zombie has exited and only awaits its reaper.
+        return [pid for pid, started in workers.items()
+                if (stat := _stat(pid)) is not None
+                and stat[1] == started and stat[0] != "Z"]
+
+    deadline = time.monotonic() + deadline_s
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = running()
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans, f"pool workers outlived their parent: {orphans}"
+
+
 def _kill_until_resumed(manifest, journal, workers, rng, baseline_s):
     """Launch fresh, SIGKILL after a random delay, then resume (each
     resume killed again with decreasing probability) until a run
@@ -113,9 +158,11 @@ def _kill_until_resumed(manifest, journal, workers, rng, baseline_s):
         must_kill = attempt == 0 or rng.random() < 0.5
         if must_kill:
             time.sleep(rng.uniform(0.05, 1.1) * baseline_s)
+            pool = _children(proc.pid)
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
             proc.wait()
+            _assert_no_orphans(pool)
             _assert_journal_invariants(journal) \
                 if journal.exists() else None
             continue
