@@ -149,10 +149,20 @@ def _single_occurrence_guard(dtd: DTD, element: str, *,
     return Path(tuple(reversed(steps)))
 
 
-def _drop_dead_and_trivial(dtd: DTD, fds: Iterable[FD]) -> list[FD]:
-    """Keep FDs whose paths exist in ``dtd``, dropping trivial ones."""
+def _drop_dead_and_trivial(dtd: DTD, fds: Iterable[FD],
+                           engine: ImplicationEngine | None) -> list[FD]:
+    """Keep FDs whose paths exist in ``dtd``, dropping trivial ones.
+
+    Triviality is judged by an ``auto`` ``(dtd, ∅)`` engine.  Given an
+    ``auto`` engine of the state before the step, that is the next
+    state's own ``(dtd, ∅)`` engine, made from the current one (so its
+    verdicts can carry over) and later taken over by the next state's
+    oracle, which then re-decides none of them."""
     survivors: list[FD] = []
-    oracle = ImplicationEngine(dtd, [])
+    if isinstance(engine, ImplicationEngine) and engine.engine == "auto":
+        oracle = engine._trivial_successor(dtd)
+    else:
+        oracle = ImplicationEngine(dtd, [])
     seen: set[FD] = set()
     for fd in fds:
         if fd in seen:
@@ -196,13 +206,17 @@ def _value_is_forced(dtd: DTD, lhs: frozenset[Path], value: Path) -> bool:
 # ---------------------------------------------------------------------------
 
 def move_attribute(dtd: DTD, sigma: Iterable[FD], value_path: Path,
-                   q: Path, *, new_attr: str | None = None) -> TransformStep:
+                   q: Path, *, new_attr: str | None = None,
+                   engine: ImplicationEngine | None = None,
+                   ) -> TransformStep:
     """``D[p.@l := q.@m]``: move the value at ``value_path`` (an
     attribute path ``p.@l`` or a text path ``p.S``) to a fresh attribute
     of ``last(q)``.
 
     This is the DBLP fix of Example 1.2: ``year`` moves from
-    ``inproceedings`` to ``issue``.
+    ``inproceedings`` to ``issue``.  ``engine``, an implication engine
+    of ``(dtd, sigma)`` as for :func:`create_element_type`, makes the
+    engine that filters trivial FDs out of the new Σ.
     """
     sigma = list(sigma)
     dtd.check_path(value_path)
@@ -263,7 +277,8 @@ def move_attribute(dtd: DTD, sigma: Iterable[FD], value_path: Path,
     # 5.2 makes the same point: FD5 is not replaced by
     # issue -> issue.@year.)
     new_sigma = _drop_dead_and_trivial(
-        new_dtd, (fd for fd in sigma if value_path not in fd.paths))
+        new_dtd, (fd for fd in sigma if value_path not in fd.paths),
+        engine)
 
     def migrate(tree: XMLTree) -> XMLTree:
         paths_of = _node_paths(tree)
@@ -480,7 +495,7 @@ def create_element_type(dtd: DTD, sigma: Iterable[FD], fd: FD, *,
         new_sigma.append(
             FD(frozenset({tau_path, key_path}),
                frozenset({key_path.parent})))
-    new_sigma = _drop_dead_and_trivial(new_dtd, new_sigma)
+    new_sigma = _drop_dead_and_trivial(new_dtd, new_sigma, oracle)
 
     # --- instance migration -----------------------------------------------
     def migrate(tree: XMLTree) -> XMLTree:
